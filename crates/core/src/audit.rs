@@ -272,6 +272,32 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_match_golden_values() {
+        // Persisted audit logs key decisions by these values: a change to
+        // the hash behind `fingerprint` would silently re-key them.
+        let golden = [
+            (
+                "T4-user",
+                vec![1, 3],
+                0x1c15_6f63_f17f_bd53_ba9f_b204_8224_a575_u128,
+            ),
+            (
+                "T4-permission",
+                vec![3, 4],
+                0x382c_51c3_89f7_18fc_3eea_8b2f_fa1b_14cd,
+            ),
+            (
+                "T1-role",
+                vec![2],
+                0x502b_ba7a_e117_67f3_1abd_7d06_292b_03d5,
+            ),
+        ];
+        for (label, members, key) in golden {
+            assert_eq!(fingerprint(label, &members), FindingKey(key), "{label}");
+        }
+    }
+
+    #[test]
     fn review_lists_findings_with_pending_default() {
         let (_, report) = figure1();
         let mut log = AuditLog::new();

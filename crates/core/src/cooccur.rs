@@ -362,6 +362,35 @@ mod tests {
     }
 
     #[test]
+    fn same_groups_cost_does_not_grow_with_width() {
+        // 10k rows of one or two bits near column u32::MAX. Row signatures
+        // cost O(nnz), so this runs in milliseconds; a signature over the
+        // packed bit image would hash ~67M words per row.
+        let cols = u32::MAX as usize;
+        let rows: Vec<Vec<usize>> = (0..10_000usize)
+            .map(|i| {
+                let mut row = vec![cols - 1 - i % 97];
+                if i % 3 == 0 {
+                    row.push(cols - 200 - i % 5);
+                }
+                row
+            })
+            .collect();
+        let m = CsrMatrix::from_rows_of_indices(rows.len(), cols, &rows).unwrap();
+        let mut by_content: std::collections::BTreeMap<Vec<u32>, Vec<usize>> =
+            std::collections::BTreeMap::new();
+        for r in 0..m.rows() {
+            by_content.entry(m.row(r).to_vec()).or_default().push(r);
+        }
+        let mut want: Vec<Vec<usize>> = by_content.into_values().filter(|g| g.len() >= 2).collect();
+        want.sort_unstable_by_key(|g| g[0]);
+        assert!(!want.is_empty());
+        for threads in [1, 2] {
+            assert_eq!(same_groups_with(&m, threads), want, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn paper_example_same_users() {
         // Section III-C: roles R02 and R04 (indices 1, 3) satisfy
         // |R²| = g²⁴ = |R⁴| = 2.

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bitvec::{tail_mask, words_for, BitVec, BITS};
 use crate::error::MatrixError;
-use crate::signature::{hash_words, RowSignature};
+use crate::signature::{fnv_pair, RowSignature};
 use crate::traits::RowMatrix;
 use crate::Result;
 
@@ -284,7 +284,7 @@ impl RowMatrix for BitMatrix {
     }
 
     fn row_signature(&self, i: usize) -> RowSignature {
-        hash_words(self.row(i).words)
+        fnv_pair(self.row(i).iter_ones().map(|c| c as u64))
     }
 
     fn col_sums(&self) -> Vec<usize> {

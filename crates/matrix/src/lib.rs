@@ -72,7 +72,7 @@ pub use dense::{BitMatrix, RowRef};
 pub use error::MatrixError;
 pub use packed::PackedRows;
 pub use shard::{PackedShards, RowSubsetView, ShardPlan};
-pub use signature::{hash_words, RowSignature, SignatureIndex};
+pub use signature::{hash_indices, hash_words, RowSignature, SignatureIndex};
 pub use sparse::CsrMatrix;
 pub use traits::RowMatrix;
 

@@ -3,11 +3,13 @@
 //! The exact-duplicate fast path of the custom algorithm groups identical
 //! rows by a content hash — the Rust analogue of the pandas `groupby` trick
 //! used in the paper's notebook. A signature is 128 bits built from two
-//! independent 64-bit FNV-1a streams, so accidental collisions are
-//! negligible; nevertheless [`SignatureIndex::groups_verified`] re-checks
-//! candidate groups bit-for-bit, making the result *exact* regardless of
-//! hash quality (the paper stresses that the custom algorithm is fully
-//! deterministic and misses nothing).
+//! independent 64-bit FNV-1a streams over the row's ascending column
+//! indices ([`hash_indices`]), so hashing a matrix costs O(nnz) whatever
+//! its width. Accidental collisions are negligible; nevertheless
+//! [`SignatureIndex::groups_verified`] re-checks candidate groups
+//! bit-for-bit, making the result *exact* regardless of hash quality (the
+//! paper stresses that the custom algorithm is fully deterministic and
+//! misses nothing).
 
 use std::collections::HashMap;
 
@@ -28,14 +30,14 @@ const FNV_PRIME_A: u64 = 0x0000_0100_0000_01b3;
 const FNV_OFFSET_B: u64 = 0x6a09_e667_bb67_ae85;
 const FNV_PRIME_B: u64 = 0x0000_0100_0000_01b3;
 
-/// Hashes a slice of row words into a [`RowSignature`].
-///
-/// Used by the [`RowMatrix::row_signature`](crate::RowMatrix::row_signature)
-/// implementations; exposed for callers that maintain their own packed rows.
-pub fn hash_words(words: &[u64]) -> RowSignature {
+/// The 128-bit FNV pair over a `u64` stream: every value is fed
+/// little-endian byte by byte into both 64-bit streams. Dense rows fold
+/// their `iter_ones()` through it, so their signatures equal
+/// [`hash_indices`] of the same row without collecting the indices.
+pub(crate) fn fnv_pair(values: impl IntoIterator<Item = u64>) -> RowSignature {
     let mut a = FNV_OFFSET_A;
     let mut b = FNV_OFFSET_B;
-    for &w in words {
+    for w in values {
         for byte in w.to_le_bytes() {
             a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME_A);
             b = (b ^ u64::from(byte).rotate_left(3)).wrapping_mul(FNV_PRIME_B);
@@ -44,33 +46,25 @@ pub fn hash_words(words: &[u64]) -> RowSignature {
     RowSignature((u128::from(a) << 64) | u128::from(b))
 }
 
-/// Hashes a strictly increasing list of set-bit indices into the same
-/// signature space as [`hash_words`] applied to the equivalent packed row.
+/// Hashes a slice of `u64` words through the 128-bit FNV pair.
 ///
-/// Sparse rows hash their `(index as u64)` stream padded to the row width;
-/// to keep dense and sparse signatures comparable we instead materialize the
-/// words lazily word-by-word, never allocating the full row.
-pub fn hash_indices(cols: usize, indices: &[u32]) -> RowSignature {
-    let mut a = FNV_OFFSET_A;
-    let mut b = FNV_OFFSET_B;
-    let words = cols.div_ceil(64);
-    let mut it = indices.iter().peekable();
-    for wi in 0..words {
-        let mut w: u64 = 0;
-        while let Some(&&idx) = it.peek() {
-            let idx = idx as usize;
-            if idx / 64 != wi {
-                break;
-            }
-            w |= 1u64 << (idx % 64);
-            it.next();
-        }
-        for byte in w.to_le_bytes() {
-            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME_A);
-            b = (b ^ u64::from(byte).rotate_left(3)).wrapping_mul(FNV_PRIME_B);
-        }
-    }
-    RowSignature((u128::from(a) << 64) | u128::from(b))
+/// This is the content hash behind `audit::fingerprint` in
+/// `rolediet-core`, whose persisted finding keys depend on its exact
+/// output. Row signatures use [`hash_indices`], which is the same
+/// hash over the row's column indices.
+pub fn hash_words(words: &[u64]) -> RowSignature {
+    fnv_pair(words.iter().copied())
+}
+
+/// The row signature: hashes a strictly increasing list of set-bit
+/// indices, each as a `u64`, through the 128-bit FNV pair.
+///
+/// The cost is O(nnz) and does not depend on the row width, so a sparse
+/// row of a 350k-column matrix hashes only its set bits, and widening a
+/// matrix leaves every signature unchanged. The value equals
+/// [`hash_words`] over the indices widened to `u64`.
+pub fn hash_indices(indices: &[u32]) -> RowSignature {
+    fnv_pair(indices.iter().map(|&c| u64::from(c)))
 }
 
 /// Groups row indices by signature.
@@ -193,14 +187,17 @@ mod tests {
     }
 
     #[test]
-    fn hash_indices_matches_hash_words() {
-        // Row of 130 bits with bits {0, 64, 129} set.
-        let words = [1u64, 1u64, 0b10u64];
-        let sig_dense = hash_words(&words);
-        let sig_sparse = hash_indices(130, &[0, 64, 129]);
-        assert_eq!(sig_dense, sig_sparse);
-        // Empty row.
-        assert_eq!(hash_indices(130, &[]), hash_words(&[0, 0, 0]));
+    fn signature_is_width_independent() {
+        let rows = vec![vec![0usize, 64, 129], vec![], vec![7]];
+        let narrow = CsrMatrix::from_rows_of_indices(3, 130, &rows).unwrap();
+        let wide = CsrMatrix::from_rows_of_indices(3, u32::MAX as usize, &rows).unwrap();
+        for i in 0..3 {
+            assert_eq!(narrow.row_signature(i), wide.row_signature(i), "row {i}");
+        }
+        // The signature is the word hash of the index stream.
+        assert_eq!(hash_indices(&[0, 64, 129]), hash_words(&[0, 64, 129]));
+        assert_eq!(hash_indices(&[]), hash_words(&[]));
+        assert_ne!(narrow.row_signature(0), narrow.row_signature(1));
     }
 
     #[test]

@@ -66,7 +66,10 @@ pub trait RowMatrix {
     fn row_bitvec(&self, i: usize) -> BitVec;
 
     /// A collision-resistant content signature of row `i`; equal rows have
-    /// equal signatures. See [`RowSignature`] for the collision discussion.
+    /// equal signatures. Every implementation returns
+    /// [`hash_indices`](crate::hash_indices) of the row's set-bit indices,
+    /// so signatures agree across representations and do not depend on
+    /// the matrix width. See [`RowSignature`] for the collision discussion.
     ///
     /// # Panics
     ///

@@ -70,6 +70,33 @@ cargo test --release -q -p rolediet-mining --test properties \
 cargo test --release -q -p rolediet-mining --test properties \
     cap_exceeding_pools_mine_without_panicking
 
+# The row-signature pins: one width-independent signature for dense and
+# sparse rows, batch and incremental alike, verified groups equal to
+# exactly-equal rows. Each name is matched exactly and the run must
+# report every named test as passed, so a renamed or filtered-out pin
+# fails here instead of being skipped.
+run_pinned() {
+    local pkg="$1" target="$2"
+    shift 2
+    local out
+    out="$(cargo test --release -q -p "$pkg" $target -- --exact "$@" 2>&1)" || {
+        echo "$out"
+        return 1
+    }
+    if ! grep -q "test result: ok. $# passed" <<<"$out"; then
+        echo "$out"
+        echo "verify: expected $# pinned tests to pass in $pkg $target: $*" >&2
+        return 1
+    fi
+}
+echo "==> proptests: row signatures"
+run_pinned rolediet-matrix "--test properties" \
+    dense_sparse_equivalence signature_groups_are_exactly_equal_rows
+run_pinned rolediet-matrix --lib signature::tests::signature_is_width_independent
+run_pinned rolediet-core --lib \
+    incremental::tests::batch_and_incremental_signatures_agree \
+    cooccur::tests::same_groups_cost_does_not_grow_with_width
+
 echo "==> cargo build --workspace --benches"
 cargo build --workspace --benches
 

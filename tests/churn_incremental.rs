@@ -1,8 +1,8 @@
-//! Churn × incremental × batch: the online duplicate index tracks a
-//! live, churning organization and always agrees with the batch
-//! pipeline; the events' ground truth surfaces in the reports.
+//! Churn × incremental × batch: the incremental pipeline tracks a live,
+//! churning organization and always agrees with the batch pipeline; the
+//! events' ground truth surfaces in the reports.
 
-use rolediet::core::incremental::IncrementalDuplicates;
+use rolediet::core::incremental::IncrementalPipeline;
 use rolediet::core::{DetectionConfig, Pipeline};
 use rolediet::matrix::RowMatrix;
 use rolediet::synth::churn::{ChurnConfig, ChurnSimulator, ChurnWeights};
@@ -46,56 +46,47 @@ fn departed_users_and_decommissioned_assets_are_detected() {
 
 #[test]
 fn incremental_index_tracks_a_churning_ruam() {
-    // Rebuild-from-scratch after every burst must equal the incrementally
-    // maintained index. Roles are added by churn, so the index is rebuilt
-    // when the row count changes and patched cell-wise otherwise.
+    // The incrementally maintained T4 groups must equal a batch
+    // recomputation over the current RUAM and RPAM after every burst.
+    // Hires widen the RUAM between bursts; signatures do not depend on
+    // the width, so the pipeline only replays the burst's edge deltas.
     let mut sim = ChurnSimulator::new(ChurnConfig {
         seed: 8,
         weights: ChurnWeights {
-            // Keep the role set fixed so the index can be patched
-            // in place: no create/clone events.
+            // A fixed role set: no create/clone events, so bursts only
+            // flip edges and add users or permissions.
             create_role: 0.0,
             clone_role: 0.0,
             ..ChurnWeights::default()
         },
         ..ChurnConfig::default()
     });
-    let ruam0 = sim.graph().ruam_sparse();
-    let mut index = IncrementalDuplicates::from_matrix(&ruam0);
-    let mut previous = ruam0;
+    let config = DetectionConfig {
+        skip_similarity: true,
+        ..DetectionConfig::default()
+    };
+    let mut inc = IncrementalPipeline::new(sim.graph(), config);
+    let roles = sim.graph().n_roles();
     for burst in 0..20 {
         sim.run(50);
-        let current = sim.graph().ruam_sparse();
-        assert_eq!(
-            current.rows(),
-            previous.rows(),
-            "role count fixed by weights"
-        );
-        // Column count can grow (register_permission doesn't touch RUAM;
-        // hires add users = RUAM columns). Rebuild on width change,
-        // patch otherwise.
-        if current.cols() != previous.cols() {
-            index = IncrementalDuplicates::from_matrix(&current);
-        } else {
-            for r in 0..current.rows() {
-                let old: std::collections::BTreeSet<usize> =
-                    previous.row_indices(r).into_iter().collect();
-                let new: std::collections::BTreeSet<usize> =
-                    current.row_indices(r).into_iter().collect();
-                for &c in old.difference(&new) {
-                    index.set(r, c, false);
-                }
-                for &c in new.difference(&old) {
-                    index.set(r, c, true);
-                }
-            }
+        inc.apply_all(&sim.drain_deltas()).unwrap();
+        assert_eq!(inc.graph(), sim.graph(), "burst {burst}");
+        let report = inc.report();
+        for (side, current, groups) in [
+            ("users", sim.graph().ruam_sparse(), &report.same_user_groups),
+            (
+                "perms",
+                sim.graph().rpam_sparse(),
+                &report.same_permission_groups,
+            ),
+        ] {
+            assert_eq!(current.rows(), roles, "role count fixed by weights");
+            let batch: Vec<Vec<usize>> = rolediet::core::cooccur::same_groups(&current)
+                .into_iter()
+                .filter(|g| current.row_norm(g[0]) > 0)
+                .collect();
+            assert_eq!(groups, &batch, "burst {burst} {side}");
         }
-        let batch: Vec<Vec<usize>> = rolediet::core::cooccur::same_groups(&current)
-            .into_iter()
-            .filter(|g| current.row_norm(g[0]) > 0)
-            .collect();
-        assert_eq!(index.groups(), batch, "burst {burst}");
-        previous = current;
     }
 }
 
