@@ -1,11 +1,13 @@
 //! Ablation `abl-parallel`: parallel pipeline stages across thread counts.
 //!
-//! Three stages run on the shared substrate (`rolediet_matrix::parallel`)
+//! These stages run on the shared substrate (`rolediet_matrix::parallel`)
 //! and are benched at 1, 2, 4 and 8 workers on a paper-shaped matrix:
 //!
-//! * the custom T5 detector (`similar_pairs_parallel`) — embarrassingly
-//!   parallel over the owning role of each co-occurring pair;
-//! * the CSR transpose feeding T5 (`CsrMatrix::transpose_with`);
+//! * the custom T5 detector (`similar_pairs_parallel`) — a prefix-filter
+//!   index built once, then probed and verified per row range, each
+//!   candidate pair owned by its lower row;
+//! * the CSR transpose whose row lengths give T5 its column frequencies
+//!   (`CsrMatrix::transpose_with`);
 //! * the signature-index build behind the custom T4 detector
 //!   (`SignatureIndex::build_with`);
 //! * the two-pass CSR build (`CsrMatrix::from_row_iter_two_pass`), with

@@ -17,23 +17,29 @@
 //!
 //! # Why this is fast
 //!
-//! Materializing `C` is quadratic, but `C` is extremely sparse: a pair of
+//! Materializing `C` is quadratic, but `C` is usually sparse: a pair of
 //! roles only has `gⁱʲ > 0` if some user holds both. Walking the inverted
 //! index (RUAM transposed) therefore enumerates only the non-zero entries,
 //! in `O(Σ_u deg(u)²)` — the number of co-assignments, not the number of
-//! role pairs. Two refinements on top:
+//! role pairs. The T4 indicator oracle walks it that way. One user held
+//! by every role (an "all staff" grant) makes that sum quadratic, so T5
+//! does not walk it:
 //!
 //! * **T4 signature fast path** — identical rows are found by verified
 //!   content hashing in one linear pass ([`same_groups`]); the indicator
 //!   evaluation ([`same_groups_via_indicator`]) is kept as an
 //!   independently-implemented verification oracle and for tests.
+//! * **T5 prefix filter** — a pair within distance `t` that shares a
+//!   column shares one among each row's `t + 1` rarest columns, so each
+//!   row is indexed by those only ([`similar_pairs_parallel`]). The cost
+//!   is the probes of the inverted lists of prefix columns, and a column
+//!   held by every role is probed only by rows of norm `≤ t + 1`.
 //! * **T5 disjoint supplement** — pairs with `gⁱʲ = 0` can still be within
-//!   distance `t` when both norms are small (`|Rⁱ| + |Rʲ| ≤ t`). The
-//!   co-occurrence stream cannot see them; an optional pass over low-norm
-//!   rows adds them (see
-//!   [`SimilarityConfig::include_disjoint`](crate::SimilarityConfig)).
+//!   distance `t` when both norms are small (`|Rⁱ| + |Rʲ| ≤ t`). No shared
+//!   column leads to them; an optional pass over low-norm rows adds them
+//!   (see [`SimilarityConfig::include_disjoint`](crate::SimilarityConfig)).
 
-use rolediet_matrix::ops::{for_each_cooccurring_pair, for_each_cooccurring_pair_in};
+use rolediet_matrix::ops::for_each_cooccurring_pair;
 use rolediet_matrix::parallel::par_map_rows;
 use rolediet_matrix::{CsrMatrix, RowMatrix, SignatureIndex};
 
@@ -157,11 +163,12 @@ pub fn same_groups_naive<M: RowMatrix>(matrix: &M) -> Vec<Vec<usize>> {
 
 /// T5 — role pairs whose rows differ in `1..=cfg.threshold` positions.
 ///
-/// Streams the co-occurrence pairs and applies
-/// `|Rⁱ| + |Rʲ| − 2gⁱʲ ≤ t`; identical pairs (distance 0) are excluded —
-/// they are T4 findings. With [`SimilarityConfig::include_disjoint`] the
-/// low-norm supplement is added. Pairs are sorted by distance, then by
-/// `(a, b)`, and truncated to `cfg.max_pairs`.
+/// Finds the pairs that share a column with the prefix filter of
+/// [`similar_pairs_parallel`] and applies `|Rⁱ| + |Rʲ| − 2gⁱʲ ≤ t`;
+/// identical pairs (distance 0) are excluded — they are T4 findings.
+/// With [`SimilarityConfig::include_disjoint`] the low-norm supplement is
+/// added. Pairs are sorted by distance, then by `(a, b)`, and truncated
+/// to `cfg.max_pairs`.
 pub fn similar_pairs(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,
@@ -172,11 +179,23 @@ pub fn similar_pairs(
 
 /// T5 — the same computation with the outer loop split over `threads`
 /// worker threads via the shared
-/// [`parallel`](rolediet_matrix::parallel) substrate. Each worker streams
-/// one row range through [`for_each_cooccurring_pair_in`] — the *same*
-/// inner loop as the sequential path, with the same shape assertions and
-/// the same sorted visit order — so the merged result is bit-identical to
+/// [`parallel`](rolediet_matrix::parallel) substrate. Every worker probes
+/// the same read-only prefix index for one row range and verifies its
+/// candidates exactly, so the merged result is bit-identical to
 /// [`similar_pairs`] for every thread count.
+///
+/// Candidates come from prefix filtering (Bayardo et al., "Scaling Up
+/// All Pairs Similarity Search", WWW 2007): each row is indexed by its
+/// `min(|Rⁱ|, t+1)` rarest columns, and row `i` probes the inverted
+/// lists of its own prefix for later rows. A candidate outside the norm
+/// band `|nⁱ − nʲ| ≤ t` is dropped; the rest are verified with
+/// `d = nⁱ + nʲ − 2gⁱʲ` and kept when `1 ≤ d ≤ t`. `gⁱʲ` is `row_dot`,
+/// or the number of lists that led to the pair when both rows are
+/// indexed whole. Only `transpose`'s row lengths (column frequencies)
+/// are read. The filter is exact for pairs with `gⁱʲ ≥ 1`: the rarest
+/// of the `g` shared columns sits within the first
+/// `|x| − g + 1 ≤ d + 1 ≤ t + 1` columns of both rows under the shared
+/// rarest-first order.
 pub fn similar_pairs_parallel(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,
@@ -188,18 +207,51 @@ pub fn similar_pairs_parallel(
     // worker.
     rolediet_matrix::ops::assert_transpose_shape(matrix, transpose);
     let t = cfg.threshold;
-    // Norms are read O(co-occurrences) times; one precomputed vector is
-    // shared by the streaming pass and the disjoint supplement instead
-    // of repeated `row_norm` calls.
+    // One precomputed norms vector is shared by the band check, the
+    // verification and the disjoint supplement.
     let norms = matrix.row_sums();
-    let mut pairs = par_map_rows(matrix.n_rows(), threads, |range| {
+    let index = PrefixIndex::build(matrix, transpose, &norms, t, threads);
+    let rows = matrix.n_rows();
+    let mut pairs = par_map_rows(rows, threads, |range| {
         let mut out: Vec<SimilarPair> = Vec::new();
-        for_each_cooccurring_pair_in(matrix, transpose, range, |i, j, g| {
-            let d = norms[i] + norms[j] - 2 * g;
-            if d >= 1 && d <= t {
-                out.push(SimilarPair::new(i, j, d));
+        // `seen[j] = (i, h)` marks `j` as reached from row `i` through `h`
+        // prefix columns, so a candidate reached through several of them
+        // is verified once, with no per-row clearing.
+        let mut seen: Vec<(usize, usize)> = vec![(usize::MAX, 0); rows];
+        let mut touched: Vec<usize> = Vec::new();
+        for i in range {
+            let ni = norms[i];
+            for &c in index.prefix(i) {
+                let list = index.rows_with(c);
+                let later = list.partition_point(|&j| j as usize <= i);
+                for &j in &list[later..] {
+                    let j = j as usize;
+                    let (from, hits) = &mut seen[j];
+                    if *from == i {
+                        *hits += 1;
+                    } else {
+                        (*from, *hits) = (i, 1);
+                        if norms[j].abs_diff(ni) <= t {
+                            touched.push(j);
+                        }
+                    }
+                }
             }
-        });
+            touched.sort_unstable();
+            for &j in &touched {
+                // Two rows indexed whole meet once per shared column.
+                let g = if ni.max(norms[j]) <= index.prefix_len {
+                    seen[j].1
+                } else {
+                    matrix.row_dot(i, j)
+                };
+                let d = ni + norms[j] - 2 * g;
+                if d >= 1 && d <= t {
+                    out.push(SimilarPair::new(i, j, d));
+                }
+            }
+            touched.clear();
+        }
         out
     });
     if cfg.include_disjoint {
@@ -208,8 +260,118 @@ pub fn similar_pairs_parallel(
     finalize_pairs(pairs, cfg.max_pairs)
 }
 
+/// The T5 candidate index: every row's prefix (its `min(norm, t+1)`
+/// rarest columns) and, per column, the ascending rows whose prefix
+/// holds it.
+///
+/// Columns are ordered rarest-first by the key `(frequency << 32) | c`,
+/// read per row from the transpose's row lengths; keys are unique, so
+/// the order is total and shared by every row. Only rows longer than
+/// their prefix need a selection (`select_nth_unstable`), and one
+/// counting pass lays out the inverted lists, so the build is linear in
+/// the matrix's non-zeros with no sort over columns.
+struct PrefixIndex {
+    /// `t + 1`: rows at most this long are indexed whole.
+    prefix_len: usize,
+    /// `prefix_cols[prefix_offsets[i]..prefix_offsets[i + 1]]` is row
+    /// `i`'s prefix, in no particular order.
+    prefix_offsets: Vec<usize>,
+    prefix_cols: Vec<u32>,
+    /// `list_rows[list_offsets[c]..list_offsets[c + 1]]` are the rows
+    /// whose prefix holds column `c`, ascending.
+    list_offsets: Vec<usize>,
+    list_rows: Vec<u32>,
+}
+
+impl PrefixIndex {
+    fn build(
+        matrix: &CsrMatrix,
+        transpose: &CsrMatrix,
+        norms: &[usize],
+        t: usize,
+        threads: usize,
+    ) -> Self {
+        let prefix_len = t.saturating_add(1);
+        let mut prefix_offsets = Vec::with_capacity(norms.len() + 1);
+        prefix_offsets.push(0);
+        let mut total = 0;
+        for &n in norms {
+            total += n.min(prefix_len);
+            prefix_offsets.push(total);
+        }
+        // Each worker writes its rows' prefixes in place, at the offsets
+        // fixed by the norms above.
+        let mut prefix_cols = vec![0u32; total];
+        rolediet_matrix::parallel::par_fill_by_offsets(
+            &mut prefix_cols,
+            &prefix_offsets,
+            threads,
+            |range, slice| {
+                let mut keys: Vec<u64> = Vec::new();
+                let mut k = 0;
+                for i in range {
+                    let row = matrix.row(i);
+                    if row.len() <= prefix_len {
+                        slice[k..k + row.len()].copy_from_slice(row);
+                        k += row.len();
+                        continue;
+                    }
+                    keys.clear();
+                    keys.extend(
+                        row.iter().map(|&c| {
+                            (transpose.row(c as usize).len() as u64) << 32 | u64::from(c)
+                        }),
+                    );
+                    keys.select_nth_unstable(prefix_len - 1);
+                    for &key in &keys[..prefix_len] {
+                        slice[k] = key as u32;
+                        k += 1;
+                    }
+                }
+            },
+        );
+        // Counting sort by column: `list_offsets[c]` first counts column
+        // `c`, then holds the end of its list; filling rows in descending
+        // order moves it down to the list's start, which leaves every
+        // list ascending and `list_offsets` exact.
+        let cols = matrix.n_cols();
+        let mut list_offsets = vec![0usize; cols + 1];
+        for &c in &prefix_cols {
+            list_offsets[c as usize] += 1;
+        }
+        for c in 1..cols {
+            list_offsets[c] += list_offsets[c - 1];
+        }
+        list_offsets[cols] = total;
+        let mut list_rows = vec![0u32; total];
+        for i in (0..norms.len()).rev() {
+            for &c in &prefix_cols[prefix_offsets[i]..prefix_offsets[i + 1]] {
+                let end = &mut list_offsets[c as usize];
+                *end -= 1;
+                list_rows[*end] = i as u32;
+            }
+        }
+        PrefixIndex {
+            prefix_len,
+            prefix_offsets,
+            prefix_cols,
+            list_offsets,
+            list_rows,
+        }
+    }
+
+    fn prefix(&self, i: usize) -> &[u32] {
+        &self.prefix_cols[self.prefix_offsets[i]..self.prefix_offsets[i + 1]]
+    }
+
+    fn rows_with(&self, c: u32) -> &[u32] {
+        let c = c as usize;
+        &self.list_rows[self.list_offsets[c]..self.list_offsets[c + 1]]
+    }
+}
+
 /// Pairs of rows with disjoint supports whose combined norm is within the
-/// threshold (`gⁱʲ = 0`, so the co-occurrence stream never emits them) —
+/// threshold (`gⁱʲ = 0`, so no shared column leads to them) —
 /// the norm-bucketed kernel.
 ///
 /// Low-norm rows are bucketed by norm and only bucket pairs `(nᵃ, nᵇ)`
@@ -480,8 +642,8 @@ mod tests {
 
     #[test]
     fn disjoint_supplement_finds_gap_pairs() {
-        // Rows: {} and {3}: distance 1 but g=0 — invisible to the
-        // co-occurrence stream.
+        // Rows: {} and {3}: distance 1 but g=0 — no shared column leads
+        // to the pair.
         let m = CsrMatrix::from_rows_of_indices(3, 5, &[vec![], vec![3], vec![0, 1, 2]]).unwrap();
         let t = m.transpose();
         let without = similar_pairs(&m, &t, &SimilarityConfig::default());
@@ -623,6 +785,62 @@ mod tests {
         let seq = same_groups(&m);
         for threads in [1, 2, 3, 8] {
             assert_eq!(same_groups_with(&m, threads), seq, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn similar_pairs_with_a_hub_column() {
+        // Column 0 is held by every row: n₀ rows {0}, n₁ rows {0, xₖ}
+        // with distinct xₖ, and longer rows {0, a, b, c} over small
+        // shared pools, interleaved. The hub is the most frequent column,
+        // so it is in no long row's prefix until t + 1 covers the row.
+        let (n0, n1, long) = (40, 30, 24);
+        let mut rows: Vec<Vec<usize>> = Vec::new();
+        for k in 0..n0.max(n1).max(long) {
+            if k < n0 {
+                rows.push(vec![0]);
+            }
+            if k < n1 {
+                rows.push(vec![0, 1 + k]);
+            }
+            if k < long {
+                rows.push(vec![0, 100 + k % 5, 105 + k % 3, 110 + k % 4]);
+            }
+        }
+        let m = CsrMatrix::from_rows_of_indices(rows.len(), 120, &rows).unwrap();
+        let tr = m.transpose();
+        let brute = |t: usize| {
+            let mut pairs = Vec::new();
+            for i in 0..m.n_rows() {
+                for j in (i + 1)..m.n_rows() {
+                    let d = m.row_hamming(i, j);
+                    if (1..=t).contains(&d) && m.row_dot(i, j) >= 1 {
+                        pairs.push(SimilarPair::new(i, j, d));
+                    }
+                }
+            }
+            pairs.sort_unstable_by_key(|p| (p.distance, p.a, p.b));
+            pairs
+        };
+        // At t = 1 the only pairs are {0} against {0, xₖ}: {0} rows are
+        // identical to each other, {0, xₖ} rows are 2 apart, and long
+        // rows are at least 2 from everything.
+        let at_one = brute(1);
+        assert_eq!(at_one.len(), n0 * n1);
+        assert!(at_one.iter().all(|p| p.distance == 1));
+        for threshold in 1..=3 {
+            let cfg = SimilarityConfig {
+                threshold,
+                ..SimilarityConfig::default()
+            };
+            let want = brute(threshold);
+            for threads in [1, 2, 3] {
+                assert_eq!(
+                    similar_pairs_parallel(&m, &tr, &cfg, threads),
+                    want,
+                    "threshold {threshold}, threads {threads}"
+                );
+            }
         }
     }
 

@@ -421,7 +421,7 @@ impl SideState {
 /// events.
 ///
 /// Construction runs the same parallel builds as the batch pipeline
-/// (matrix projection, signature pass, co-occurrence stream); from then
+/// (matrix projection, signature pass, T5 prefix-filter kernel); from then
 /// on every [`apply`](Self::apply) costs `O(row + norm band)` instead of
 /// a full rerun, and [`report`](Self::report) assembles the current
 /// findings in one linear pass over the maintained state.

@@ -5,7 +5,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use rolediet_core::config::{DetectionConfig, Parallelism, SimilarityConfig};
-use rolediet_core::cooccur::{same_groups, same_groups_via_indicator, similar_pairs};
+use rolediet_core::cooccur::{
+    same_groups, same_groups_via_indicator, similar_pairs, similar_pairs_parallel,
+};
 use rolediet_core::detector::{detect_degrees, detect_degrees_with};
 use rolediet_core::incremental::IncrementalPipeline;
 use rolediet_core::pipeline::Pipeline;
@@ -40,6 +42,33 @@ fn matrix_pair_inputs() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
                     CsrMatrix::from_rows_of_indices(rows + 2, ucols, &ud).unwrap(),
                     CsrMatrix::from_rows_of_indices(rows + 2, pcols, &pd).unwrap(),
                 )
+            })
+    })
+}
+
+/// Rows in which one or two hub columns (0, and 1 when `hubs == 2`) are
+/// set in most rows, followed by a duplicate of row 0, a duplicate of
+/// the last random row and two empty rows, with a threshold that ranges
+/// past the width. This is the shape where a similarity filter that
+/// indexes only each row's rarest columns could drop pairs.
+fn hub_matrix_inputs() -> impl Strategy<Value = (CsrMatrix, usize)> {
+    (2usize..24, 3usize..12, 1usize..3).prop_flat_map(|(rows, cols, hubs)| {
+        (
+            vec(vec(hubs..cols, 0..=4), rows),
+            vec(vec(0u8..5, hubs), rows),
+            0..=cols + 2,
+        )
+            .prop_map(move |(mut data, hub_draws, threshold)| {
+                for (row, draws) in data.iter_mut().zip(&hub_draws) {
+                    // Each hub is set in a row with probability 4/5.
+                    row.extend((0..hubs).filter(|&h| draws[h] < 4));
+                }
+                data.push(data[0].clone());
+                data.push(data[rows - 1].clone());
+                data.push(Vec::new());
+                data.push(Vec::new());
+                let m = CsrMatrix::from_rows_of_indices(data.len(), cols, &data).unwrap();
+                (m, threshold)
             })
     })
 }
@@ -111,6 +140,36 @@ proptest! {
                 }
             }
             prop_assert_eq!(pairs.len(), expected);
+        }
+    }
+
+    #[test]
+    fn similar_pairs_are_complete_with_shared_columns(
+        (m, threshold) in hub_matrix_inputs(),
+    ) {
+        // The default semantics: pairs within the threshold that share
+        // at least one column. Brute force in the report's order.
+        let cfg = SimilarityConfig {
+            threshold,
+            ..SimilarityConfig::default()
+        };
+        let mut expected = Vec::new();
+        for i in 0..m.rows() {
+            for j in (i + 1)..m.rows() {
+                let d = m.row_hamming(i, j);
+                if d >= 1 && d <= threshold && m.row_dot(i, j) >= 1 {
+                    expected.push((d, i, j));
+                }
+            }
+        }
+        expected.sort_unstable();
+        let tr = m.transpose();
+        for threads in [1, 2, 3, 8] {
+            let got: Vec<(usize, usize, usize)> = similar_pairs_parallel(&m, &tr, &cfg, threads)
+                .into_iter()
+                .map(|p| (p.distance, p.a, p.b))
+                .collect();
+            prop_assert_eq!(&got, &expected, "threshold {}, threads {}", threshold, threads);
         }
     }
 

@@ -97,6 +97,19 @@ run_pinned rolediet-core --lib \
     incremental::tests::batch_and_incremental_signatures_agree \
     cooccur::tests::same_groups_cost_does_not_grow_with_width
 
+# The T5 prefix-filter pins: the candidate kernel indexes each row by its
+# t + 1 rarest columns only, so completeness against brute force is
+# pinned with hub columns, duplicate and empty rows and t >= width, at
+# several thread counts.
+echo "==> proptests: T5 prefix filter"
+run_pinned rolediet-core "--test properties" \
+    similar_pairs_are_complete_with_shared_columns \
+    similar_pairs_distances_are_truthful
+run_pinned rolediet-core --lib \
+    cooccur::tests::similar_pairs_with_a_hub_column \
+    cooccur::tests::similar_pairs_match_brute_force \
+    cooccur::tests::parallel_matches_sequential
+
 echo "==> cargo build --workspace --benches"
 cargo build --workspace --benches
 
