@@ -39,17 +39,21 @@ pub fn intersect_count(a: &[u32], b: &[u32]) -> usize {
     n
 }
 
-/// Intersection of two sorted, duplicate-free slices as a new vector.
+/// Intersection of two sorted, duplicate-free slices written into
+/// `out` (cleared first), so a caller probing many pairs can reuse one
+/// buffer instead of allocating per probe.
 ///
 /// # Examples
 ///
 /// ```
-/// use rolediet_matrix::setops::intersect;
+/// use rolediet_matrix::setops::intersect_into;
 ///
-/// assert_eq!(intersect(&[0, 1, 7], &[0, 2, 7]), vec![0, 7]);
+/// let mut buf = vec![9, 9, 9];
+/// intersect_into(&[0, 1, 7], &[0, 2, 7], &mut buf);
+/// assert_eq!(buf, vec![0, 7]);
 /// ```
-pub fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
+pub fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -62,7 +66,6 @@ pub fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
             }
         }
     }
-    out
 }
 
 /// Whether sorted, duplicate-free `a` is a subset of sorted,
@@ -139,8 +142,11 @@ mod tests {
             (&[0, 10, 20], &[5, 10, 15, 20, 25]),
             (&[7], &[7]),
         ];
+        // One buffer across cases: `intersect_into` must clear it first.
+        let mut buf = Vec::new();
         for (a, b) in cases {
-            assert_eq!(intersect_count(a, b), intersect(a, b).len());
+            intersect_into(a, b, &mut buf);
+            assert_eq!(intersect_count(a, b), buf.len());
             assert_eq!(intersect_count(a, b), intersect_count(b, a));
         }
     }

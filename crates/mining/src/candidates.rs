@@ -207,6 +207,9 @@ pub fn generate_candidates_with(
     let min_shared = config.min_shared.max(1);
     // Shared-core enumeration, one distinct row per work item.
     let per_row: Vec<Vec<Vec<u32>>> = par_map_rows(d, threads, |range| {
+        // One intersection buffer per worker: a probe that fails the
+        // size test allocates nothing.
+        let mut core: Vec<u32> = Vec::new();
         range
             .map(|i| {
                 let ri = distinct.row(i);
@@ -228,11 +231,11 @@ pub fn generate_candidates_with(
                     if j as usize == i {
                         continue;
                     }
-                    let core = setops::intersect(ri, distinct.row(j as usize));
+                    setops::intersect_into(ri, distinct.row(j as usize), &mut core);
                     // Proper subsets only: a core equal to the row itself
                     // is already an initial candidate.
                     if core.len() >= min_shared && core.len() < ri.len() {
-                        cores.push(core);
+                        cores.push(core.clone());
                     }
                 }
                 cores.sort_unstable();
@@ -241,17 +244,21 @@ pub fn generate_candidates_with(
             })
             .collect()
     });
+    // One ranking sort: equal cores end up adjacent under the pool
+    // order, so `dedup` follows it directly.
     let mut derived: Vec<Vec<u32>> = per_row.into_iter().flatten().collect();
-    derived.sort_unstable();
-    derived.dedup();
-    // A shared core can coincide with some *other* initial row; keep the
-    // pool duplicate-free (initial rows win — they are uncapped).
-    derived.retain(|c| rows.binary_search_by(|r| (*r).cmp(c.as_slice())).is_err());
-    // The cap applies to derived candidates only, largest first.
     sort_pool(&mut derived);
-    derived.truncate(config.max_candidates);
+    derived.dedup();
     let mut sets: Vec<Vec<u32>> = rows.iter().map(|r| r.to_vec()).collect();
-    sets.extend(derived);
+    // A shared core can coincide with some *other* initial row; keep the
+    // pool duplicate-free (initial rows win — they are uncapped). The cap
+    // applies to derived candidates only, largest first.
+    sets.extend(
+        derived
+            .into_iter()
+            .filter(|c| rows.binary_search_by(|r| (*r).cmp(c.as_slice())).is_err())
+            .take(config.max_candidates),
+    );
     sort_pool(&mut sets);
     CandidatePool {
         cols,

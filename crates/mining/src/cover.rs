@@ -9,11 +9,13 @@
 //! is the true argmax, and the round ends without touching the rest of
 //! the pool. Two refinements make the re-evaluation itself cheap:
 //!
-//! * **Delta-dirtying** — committing a role can only change the gain of
-//!   candidates that overlap the newly covered cells. An inverted
-//!   permission→candidate index marks exactly those candidates dirty;
-//!   a clean cached gain is *exact*, not just an upper bound, so a clean
-//!   heap top is selected with no re-evaluation at all.
+//! * **Delta-dirtying** — a candidate's gain sums over its eligible
+//!   users, and committing a role covers cells of the role's assigned
+//!   users only, so only candidates eligible for an assigned user can
+//!   lose gain. The transposed eligibility lists (user → candidates)
+//!   mark a superset of the changed candidates dirty; a clean cached
+//!   gain is therefore *exact*, not just an upper bound, so a clean heap
+//!   top is selected with no re-evaluation at all.
 //! * **Sparse state** — coverage is kept as sorted per-user index sets
 //!   (`O(nnz)` total) walked with [`rolediet_matrix::setops`], never as
 //!   dense `users × width` bit rows, so the engine runs at the realorg
@@ -90,9 +92,9 @@ pub fn mine_greedy_cover_with(
 /// Mines an exact cover of `upam` from an explicit candidate pool with
 /// the lazy-greedy engine.
 ///
-/// Peak memory is O(nnz + assignments): sorted-index coverage sets, the
-/// per-candidate eligibility lists, and the inverted permission→candidate
-/// index — no dense `users × width` allocation anywhere.
+/// Peak memory is O(nnz + eligible pairs): sorted-index coverage sets,
+/// the per-candidate eligibility lists and their user → candidate
+/// transpose — no dense `users × width` allocation anywhere.
 ///
 /// # Errors
 ///
@@ -136,28 +138,31 @@ pub fn mine_lazy_from_pool(
             })
             .collect()
     });
-    // Inverted pool: permission → candidates containing it (two-pass
-    // counting build, candidate ids ascending within each permission).
-    let cols = upam.cols();
-    let mut perm_indptr = vec![0usize; cols + 1];
-    for ci in 0..n {
-        for &p in pool.get(ci) {
-            perm_indptr[p as usize + 1] += 1;
+    // The UPAM transpose is only needed for eligibility; free it before
+    // the cover loop's state is allocated.
+    drop(users_of_perm);
+    // Transposed eligibility: user → candidates it is eligible for
+    // (two-pass counting build, candidate ids ascending within each user).
+    let users = upam.rows();
+    let mut user_indptr = vec![0usize; users + 1];
+    for list in &eligible {
+        for &u in list {
+            user_indptr[u as usize + 1] += 1;
         }
     }
-    for p in 0..cols {
-        perm_indptr[p + 1] += perm_indptr[p];
+    for u in 0..users {
+        user_indptr[u + 1] += user_indptr[u];
     }
-    let mut cands_of_perm = vec![0u32; perm_indptr[cols]];
-    let mut cursor = perm_indptr.clone();
-    for ci in 0..n {
-        for &p in pool.get(ci) {
-            cands_of_perm[cursor[p as usize]] = ci as u32;
-            cursor[p as usize] += 1;
+    let mut cands_of_user = vec![0u32; user_indptr[users]];
+    let mut cursor = user_indptr.clone();
+    for (ci, list) in eligible.iter().enumerate() {
+        for &u in list {
+            cands_of_user[cursor[u as usize]] = ci as u32;
+            cursor[u as usize] += 1;
         }
     }
     // Sparse coverage state: still-uncovered permissions per user.
-    let mut uncovered: Vec<Vec<u32>> = (0..upam.rows()).map(|u| upam.row(u).to_vec()).collect();
+    let mut uncovered: Vec<Vec<u32>> = (0..users).map(|u| upam.row(u).to_vec()).collect();
     let mut remaining: usize = upam.nnz();
     // Cached gains. Initially every eligible user's whole candidate set
     // is uncovered, so the exact gain is |set| × |eligible| — no merges.
@@ -208,11 +213,12 @@ pub fn mine_lazy_from_pool(
         for &u in &assigned {
             remaining -= setops::difference_in_place(&mut uncovered[u as usize], set);
         }
-        // Delta maintenance: only candidates sharing a permission with
-        // the committed role can have lost gain.
-        for &p in set {
-            let span = perm_indptr[p as usize]..perm_indptr[p as usize + 1];
-            for &cj in &cands_of_perm[span] {
+        // Delta maintenance: the commit covered cells of assigned users
+        // only, so only candidates eligible for one of them can have lost
+        // gain.
+        for &u in &assigned {
+            let span = user_indptr[u as usize]..user_indptr[u as usize + 1];
+            for &cj in &cands_of_user[span] {
                 if !dead[cj as usize] {
                     dirty[cj as usize] = true;
                 }
@@ -302,6 +308,55 @@ mod tests {
         let pool = CandidatePool::from_sets(2, vec![vec![1]]).unwrap();
         let err = mine_lazy_from_pool(&m, &pool, 1).unwrap_err();
         assert!(matches!(err, ModelError::CoverStalled { remaining: 1 }));
+    }
+
+    #[test]
+    fn shared_permission_with_disjoint_users_keeps_a_gain_clean() {
+        // Permission 0 is in every candidate but {5,6}, yet {0,1} and
+        // {0,3} have disjoint eligible users: committing {0,1} covers
+        // cells of users 0 and 2 only, so {0,3} keeps its exact cached
+        // gain and is selected next with no re-evaluation. {0,1,2} and
+        // {0,3,4} must be re-evaluated (gain 3 → 1) or they would wrongly
+        // beat {5,6} (gain 2, never dirtied).
+        let m = upam(
+            &[
+                vec![0, 1, 2],
+                vec![0, 3, 4],
+                vec![0, 1],
+                vec![0, 3],
+                vec![5, 6],
+            ],
+            7,
+        );
+        let pool = CandidatePool::from_sets(
+            7,
+            vec![
+                vec![0, 1, 2],
+                vec![0, 3, 4],
+                vec![0, 1],
+                vec![0, 3],
+                vec![5, 6],
+                vec![0],
+            ],
+        )
+        .unwrap();
+        let eager = mine_eager_from_pool(&m, &pool).unwrap();
+        for threads in [1, 2] {
+            let lazy = mine_lazy_from_pool(&m, &pool, threads).unwrap();
+            assert_eq!(lazy, eager, "diverged at {threads} threads");
+        }
+        let order: Vec<Vec<usize>> = eager.roles.iter().map(|r| r.permissions.clone()).collect();
+        assert_eq!(
+            order,
+            [
+                vec![0, 1],
+                vec![0, 3],
+                vec![5, 6],
+                vec![0, 1, 2],
+                vec![0, 3, 4]
+            ]
+        );
+        verify_exact_cover(&m, &eager.roles).unwrap();
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   every thread count.
 //! * [`cover`] — the lazy-greedy (CELF) cover engine: a max-heap of
 //!   cached gain upper bounds (valid because greedy set cover is
-//!   submodular, so gains only shrink), delta-dirtying through an
-//!   inverted permission→candidate index, and sorted-index coverage
-//!   state in O(nnz) memory. This is the production path
+//!   submodular, so gains only shrink), delta-dirtying of the
+//!   candidates eligible for a committed role's users (a user →
+//!   candidate transpose of the eligibility lists), and sorted-index
+//!   coverage state in O(nnz) memory. This is the production path
 //!   ([`mine_greedy_cover`] / [`mine_greedy_cover_with`]).
 //! * [`greedy`] — the seed-era eager loop (dense state, full rescan per
 //!   round), kept as the bit-identity oracle the lazy engine is

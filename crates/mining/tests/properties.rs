@@ -1,7 +1,8 @@
 //! Property tests for the mining engines: the lazy-greedy (CELF) cover
 //! must be bit-identical to the eager oracle at every thread count and
-//! configuration, covers must be exact on arbitrary UPAMs, candidates
-//! must be sound, and cap-exceeding pools must mine without panicking.
+//! configuration (hub-permission shapes included), covers must be exact
+//! on arbitrary UPAMs, candidates must be sound, and cap-exceeding pools
+//! must mine without panicking.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,6 +18,35 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 fn upam_inputs() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
     (1usize..16, 1usize..14).prop_flat_map(|(users, perms)| {
         vec(vec(0..perms, 0..=6), users).prop_map(move |data| (users, perms, data))
+    })
+}
+
+/// UPAMs where many candidates share a permission but no eligible user:
+/// 1–2 hub permissions (the lowest indices) sit in ~4/5 of the rows, and
+/// some rows are duplicated and some left empty.
+fn hub_upam_inputs() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
+    (2usize..16, 3usize..14, 1usize..=2).prop_flat_map(|(users, perms, hubs)| {
+        (
+            vec((vec(hubs..perms, 0..=5), 0u8..5), users),
+            vec(0..users, 0..=4),
+            0usize..=2,
+        )
+            .prop_map(move |(rows, duplicated, empty)| {
+                let mut data: Vec<Vec<usize>> = rows
+                    .into_iter()
+                    .map(|(mut row, roll)| {
+                        if roll > 0 {
+                            row.extend(0..hubs);
+                        }
+                        row
+                    })
+                    .collect();
+                for u in duplicated {
+                    data.push(data[u].clone());
+                }
+                data.extend(std::iter::repeat_n(Vec::new(), empty));
+                (data.len(), perms, data)
+            })
     })
 }
 
@@ -47,6 +77,24 @@ proptest! {
 
     #[test]
     fn lazy_greedy_matches_eager_oracle_across_threads((users, perms, data) in upam_inputs()) {
+        let upam = CsrMatrix::from_rows_of_indices(users, perms, &data).unwrap();
+        for config in configs() {
+            let oracle = mine_eager_cover(&upam, &config).unwrap();
+            verify_exact_cover(&upam, &oracle.roles).unwrap();
+            for threads in THREAD_COUNTS {
+                let lazy = mine_greedy_cover_with(&upam, &config, threads).unwrap();
+                prop_assert_eq!(
+                    &lazy, &oracle,
+                    "lazy engine diverged from the eager oracle at {} threads", threads
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_greedy_matches_eager_oracle_with_hub_permissions(
+        (users, perms, data) in hub_upam_inputs()
+    ) {
         let upam = CsrMatrix::from_rows_of_indices(users, perms, &data).unwrap();
         for config in configs() {
             let oracle = mine_eager_cover(&upam, &config).unwrap();

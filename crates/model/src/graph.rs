@@ -356,13 +356,23 @@ impl TripartiteGraph {
     /// CSR kernel on `threads` workers. Each user's effective permission
     /// set is recomputed on the fill pass rather than materialized for
     /// the whole matrix at once, so peak memory is one row per worker
-    /// instead of all rows; output is bit-identical for every thread
-    /// count.
+    /// instead of all rows. A row is its roles' permissions concatenated
+    /// into one presized `Vec`, then sorted and deduplicated — no per-row
+    /// `BTreeSet`; output is bit-identical for every thread count.
     pub fn upam_sparse_with(&self, threads: usize) -> CsrMatrix {
         CsrMatrix::from_row_iter_two_pass(self.n_users(), self.n_permissions(), threads, |u| {
-            self.effective_permissions(UserId::from_index(u))
-                .into_iter()
-                .map(|p| p.0)
+            let roles = &self.user_roles[u];
+            let len = roles
+                .iter()
+                .map(|&r| self.role_perms[r as usize].len())
+                .sum();
+            let mut perms: Vec<u32> = Vec::with_capacity(len);
+            for &r in roles {
+                perms.extend(self.role_perms[r as usize].iter().copied());
+            }
+            perms.sort_unstable();
+            perms.dedup();
+            perms.into_iter()
         })
     }
 

@@ -58,23 +58,10 @@ cargo test --release -q -p rolediet-core --test properties \
 cargo test --release -q -p rolediet-core --test properties \
     hnsw_recall_on_figure3_workload_clears_the_floor
 
-# The PR 10 mining pins: the lazy-greedy (CELF) cover must be
-# bit-identical to the eager full-rescan oracle at every tested thread
-# count and candidate configuration, and candidate pools must be
-# thread-count invariant.
-echo "==> proptests: lazy-greedy mining oracle"
-cargo test --release -q -p rolediet-mining --test properties \
-    lazy_greedy_matches_eager_oracle_across_threads
-cargo test --release -q -p rolediet-mining --test properties \
-    candidate_pools_are_thread_count_invariant
-cargo test --release -q -p rolediet-mining --test properties \
-    cap_exceeding_pools_mine_without_panicking
-
-# The row-signature pins: one width-independent signature for dense and
-# sparse rows, batch and incremental alike, verified groups equal to
-# exactly-equal rows. Each name is matched exactly and the run must
-# report every named test as passed, so a renamed or filtered-out pin
-# fails here instead of being skipped.
+# Pinned tests are matched by exact name, and the run must report every
+# named test as passed, so a renamed or filtered-out pin fails here
+# instead of being skipped (a plain `cargo test <substring>` passes with
+# 0 tests run).
 run_pinned() {
     local pkg="$1" target="$2"
     shift 2
@@ -89,6 +76,25 @@ run_pinned() {
         return 1
     fi
 }
+
+# The mining pins: the lazy-greedy (CELF) cover must be bit-identical
+# to the eager full-rescan oracle at every tested thread count and
+# candidate configuration, including hub-permission shapes where many
+# candidates share a permission but no eligible user (the delta step
+# dirties candidates by shared user), and candidate pools must be
+# thread-count invariant.
+echo "==> proptests: lazy-greedy mining oracle"
+run_pinned rolediet-mining "--test properties" \
+    lazy_greedy_matches_eager_oracle_across_threads \
+    lazy_greedy_matches_eager_oracle_with_hub_permissions \
+    candidate_pools_are_thread_count_invariant \
+    cap_exceeding_pools_mine_without_panicking
+run_pinned rolediet-mining --lib \
+    cover::tests::shared_permission_with_disjoint_users_keeps_a_gain_clean
+
+# The row-signature pins: one width-independent signature for dense and
+# sparse rows, batch and incremental alike, verified groups equal to
+# exactly-equal rows.
 echo "==> proptests: row signatures"
 run_pinned rolediet-matrix "--test properties" \
     dense_sparse_equivalence signature_groups_are_exactly_equal_rows
